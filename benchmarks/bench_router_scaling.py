@@ -14,9 +14,11 @@ Headline metrics recorded to ``BENCH_router_scaling.json``:
 
 * ``throughput`` — merged tuples/second at the widest fleet;
 * ``throughput_workers_<w>`` / ``speedup_workers_<w>`` — per width;
-* ``runs_workers_<w>`` — ingest runs (worker requests) the router's
-  key-run splitter produced at that width (run fragmentation is the
-  router's intrinsic fan-out cost);
+* ``runs_workers_<w>`` — worker ingest requests the router sent at
+  that width (the ack's ``runs``, summed), and
+  ``runs_per_batch_workers_<w>`` — the same per client batch: the
+  router scatters each batch as one request per worker, so it is at
+  most ``w``;
 * ``parity`` — always ``"exact"`` if the process exits 0.
 
 Workers are separate OS processes, so scaling is real process
@@ -159,6 +161,9 @@ def main() -> int:
         )
         metrics[f"speedup_workers_{width}"] = round(speedup, 3)
         metrics[f"runs_workers_{width}"] = out["runs"]
+        metrics[f"runs_per_batch_workers_{width}"] = round(
+            out["runs"] / -(-N_TUPLES // BATCH), 3
+        )
         last = out
     metrics["wall_time_s"] = round(last["elapsed_s"], 4)
     metrics["throughput"] = round(last["throughput"], 1)

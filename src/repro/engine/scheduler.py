@@ -23,6 +23,13 @@ On top of the seed runtime, two production disciplines:
   (the producer must retry), ``"shed-newest"`` drops it, and
   ``"shed-oldest"`` evicts the oldest queued items to make room.  All
   sheds are metered in the :mod:`repro.engine.metrics` registry.
+
+Every arrival may carry an *origin* — an opaque ordinal the caller
+attaches at :meth:`QueryRuntime.enqueue` (the serving bridge uses the
+arrival's ingest offset).  The origin rides beside the item through
+its queue, and each output records the origin of the arrival whose
+processing produced it; :meth:`QueryRuntime.drain` returns the two
+lists in parallel.
 """
 
 from __future__ import annotations
@@ -61,8 +68,9 @@ from .resilience import BreakerConfig, CircuitBreaker, SlowSolveWatchdog
 from .tuples import StreamTuple
 
 #: Version stamp inside runtime checkpoint payloads; bumped when the
-#: state-dict shape changes incompatibly.
-RUNTIME_SNAPSHOT_VERSION = 1
+#: state-dict shape changes incompatibly.  v2: queues hold ``(item,
+#: origin)`` pairs and outputs carry their origins.
+RUNTIME_SNAPSHOT_VERSION = 2
 
 #: Valid back-pressure policies for :class:`QueryRuntime`.
 BACKPRESSURE_POLICIES = ("block", "shed-oldest", "shed-newest")
@@ -80,8 +88,11 @@ class _Registration:
     #: for the fallback plan; defaults to the query's effective sample
     #: period, then 1.0.
     fallback_period: float | None = None
+    #: Per-stream FIFO of ``(item, origin)`` pairs.
     queues: dict[str, deque] = field(default_factory=dict)
     outputs: list = field(default_factory=list)
+    #: The producing arrival's origin for each entry of ``outputs``.
+    origins: list = field(default_factory=list)
     items_processed: int = 0
     #: Total queued items across this query's streams, maintained at
     #: enqueue/drain time so the scheduler loop never re-sums queues.
@@ -316,8 +327,13 @@ class QueryRuntime:
     # ------------------------------------------------------------------
     # input
     # ------------------------------------------------------------------
-    def enqueue(self, stream: str, item: Segment | StreamTuple) -> bool:
+    def enqueue(
+        self, stream: str, item: Segment | StreamTuple, origin=None
+    ) -> bool:
         """Queue one arrival for every query consuming ``stream``.
+
+        ``origin`` is stamped on every output this arrival produces
+        (see :meth:`drain`).
 
         Segments route to continuous queries, tuples to discrete ones.
         An unregistered stream name raises :class:`PlanError` — a silent
@@ -366,7 +382,7 @@ class QueryRuntime:
                     self._blocked_counter.bump()
                 return False
         for reg in targets:
-            reg.queues[stream].append(item)
+            reg.queues[stream].append((item, origin))
             reg.pending += 1
             self._total_pending += 1
         self.items_enqueued += 1
@@ -411,12 +427,12 @@ class QueryRuntime:
         # exactly the order the serial loop would have popped them —
         # processing never enqueues, so the split changes nothing), which
         # gives the sharded path one look at the whole round for priming.
-        drained: list[tuple[str, Segment | StreamTuple]] = []
+        drained: list[tuple[str, Segment | StreamTuple, object]] = []
         while len(drained) < self.batch_size and reg.pending:
             for stream, queue in reg.queues.items():
                 if not queue:
                     continue
-                drained.append((stream, queue.popleft()))
+                drained.append((stream, *queue.popleft()))
                 reg.pending -= 1
                 self._total_pending -= 1
                 if len(drained) >= self.batch_size:
@@ -433,9 +449,12 @@ class QueryRuntime:
             if use_dispatch:
                 self._prime_round(reg, drained)
                 dispatcher.activate()
+            outputs, origins = reg.outputs, reg.origins
             try:
-                for stream, item in drained:
+                for stream, item, origin in drained:
+                    before = len(outputs)
                     self._process_item(reg, stream, item)
+                    origins.extend([origin] * (len(outputs) - before))
                     reg.items_processed += 1
             finally:
                 if use_dispatch:
@@ -488,9 +507,13 @@ class QueryRuntime:
                         tracer.finish(prime_span)
                 dispatcher.activate()
             try:
-                for stream, item in drained:
+                for stream, item, origin in drained:
+                    before = len(reg.outputs)
                     self._process_item_observed(
                         reg, stream, item, tracer, observing, watchdog
+                    )
+                    reg.origins.extend(
+                        [origin] * (len(reg.outputs) - before)
                     )
                     reg.items_processed += 1
             finally:
@@ -565,7 +588,7 @@ class QueryRuntime:
     def _prime_round(
         self,
         reg: _Registration,
-        drained: list[tuple[str, Segment | StreamTuple]],
+        drained: list[tuple[str, Segment | StreamTuple, object]],
     ) -> None:
         """Batch the round's predicted solve work before processing.
 
@@ -583,7 +606,7 @@ class QueryRuntime:
         dispatcher = self._dispatcher
         assert dispatcher is not None
         items: list[tuple[str, Segment]] = []
-        for stream, item in drained:
+        for stream, item, _origin in drained:
             if not isinstance(item, Segment):
                 continue
             if self.breaker is not None and not self.breaker.peek(
@@ -725,6 +748,7 @@ class QueryRuntime:
                         stream: list(q) for stream, q in reg.queues.items()
                     },
                     "outputs": list(reg.outputs),
+                    "origins": list(reg.origins),
                     "items_processed": reg.items_processed,
                     "errors": reg.errors,
                     "fallback_items": reg.fallback_items,
@@ -776,6 +800,7 @@ class QueryRuntime:
             for stream, items in entry["queues"].items():
                 reg.queues[stream] = deque(items)
             reg.outputs = list(entry["outputs"])
+            reg.origins = list(entry["origins"])
             reg.items_processed = entry["items_processed"]
             reg.errors = entry["errors"]
             reg.fallback_items = entry["fallback_items"]
@@ -853,6 +878,7 @@ class QueryRuntime:
             self._replaying = False
         for reg in self._queries.values():
             reg.outputs.clear()
+            reg.origins.clear()
         self._durability.finish_recovery(report)
         report.duration_s = time.perf_counter() - start
         if tracer and span is not None:
@@ -893,10 +919,16 @@ class QueryRuntime:
 
     def outputs(self, name: str) -> list:
         """Drain and return the named query's accumulated outputs."""
+        return self.drain(name)[0]
+
+    def drain(self, name: str) -> tuple[list, list]:
+        """Drain the named query's outputs with their origins: two
+        parallel lists, ``origins[i]`` being the ``origin`` its
+        producing arrival was enqueued with."""
         reg = self._queries[name]
-        out = reg.outputs
-        reg.outputs = []
-        return out
+        drained = reg.outputs, reg.origins
+        reg.outputs, reg.origins = [], []
+        return drained
 
     def stats(self) -> Mapping[str, int]:
         return {

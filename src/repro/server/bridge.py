@@ -57,6 +57,20 @@ their subscriber tables bit-exactly.  Recovered subscriptions are
 client either re-subscribes (joining the shared graph as a new
 subscriber) or ``attach``-es to its old subscription id to resume its
 cursor.
+
+Origins
+-------
+Every output carries an *origin*: the ingest offset of the arrival
+whose processing produced it — the same count as the durable
+``ingest_tuples`` offset, so tuple ``i`` of a batch ingested at offset
+``n`` has origin ``n + i``.  The runtime carries the origin beside each
+queued item (a fitted segment inherits the origin of the tuple that
+sealed it); outputs with no triggering arrival (flush tails, segments
+sealed by a bound retarget) have origin ``None``.  Origins ride in
+delivery (``info["origins"]``), in the retained windows and in
+``attach`` replays, and WAL replay rebuilds them deterministically.
+The fleet router maps them back to global arrival ordinals to merge
+its workers' streams.
 """
 
 from __future__ import annotations
@@ -85,8 +99,9 @@ _STOP = object()
 
 #: Version stamp for bridge-level snapshot payloads.  v2: per-(query,
 #: mode) shared graphs with a durable subscription table replaced the
-#: v1 per-(query, mode, bound) instances.
-BRIDGE_SNAPSHOT_VERSION = 2
+#: v1 per-(query, mode, bound) instances.  v3: retained outputs are
+#: ``(output, origin)`` pairs.
+BRIDGE_SNAPSHOT_VERSION = 3
 
 
 class BridgeClosed(PulseError):
@@ -169,7 +184,7 @@ class _Subscription:
     bound: float | None
     session_id: int | None = None
     cursor: int = 0
-    #: Bounded tail of raw outputs at cursor positions
+    #: Bounded tail of ``(output, origin)`` pairs at cursor positions
     #: ``[cursor - len(retained), cursor)`` — only populated when the
     #: bridge was built with ``retain_results > 0``.  This is what
     #: makes ``attach(from_cursor=...)`` able to re-deliver outputs a
@@ -231,9 +246,10 @@ class EngineBridge:
     on_outputs:
         ``(subscribers, graph_info, outputs) -> None`` where
         ``subscribers`` is ``[(sub_id, cursor), ...]`` — the cursor is
-        each subscription's delivery offset *before* this batch.
-        Called on the engine thread; the server trampolines it into
-        the loop.
+        each subscription's delivery offset *before* this batch, and
+        ``graph_info["origins"]`` lists each output's origin (see the
+        module docstring).  Called on the engine thread; the server
+        trampolines it into the loop.
     on_notify:
         ``(kind, payload) -> None`` for watchdog / backpressure /
         breaker pushes, same threading rule.
@@ -285,8 +301,9 @@ class EngineBridge:
             else None
         )
         self.checkpoint_every = checkpoint_every
-        #: Cumulative WAL-logged ingest tuples (survives restarts via
-        #: the snapshot); the client-facing durable resume offset.
+        #: Cumulative ingested tuples (survives restarts via the
+        #: snapshot); the client-facing durable resume offset and the
+        #: base of every output's origin.
         self.ingest_tuples = 0
         self._tuples_at_checkpoint = 0
         self._replaying = False
@@ -724,7 +741,8 @@ class EngineBridge:
             "solve_bound": graph.solve_bound,
             "cursor": sub.cursor,
             "streams": list(graph.streams),
-            "replayed": serialize_results(replayed),
+            "replayed": serialize_results([out for out, _ in replayed]),
+            "replayed_origins": [origin for _, origin in replayed],
         }
 
     def _update_sub_gauges(self) -> None:
@@ -761,7 +779,8 @@ class EngineBridge:
             # Write-ahead at the tuple boundary: raw tuples go to disk
             # before fitting can fold them into builder state.
             self._log(("ingest", stream, list(tuples), policy))
-            self.ingest_tuples += len(tuples)
+        base = self.ingest_tuples
+        self.ingest_tuples += len(tuples)
         consumers = [
             graph
             for graph in self._graphs.values()
@@ -774,7 +793,7 @@ class EngineBridge:
             # thread are serialized, so this cannot interleave.
             self.runtime.backpressure = policy
         try:
-            for tup in tuples:
+            for origin, tup in enumerate(tuples, start=base):
                 if not consumers:
                     counts["no_consumer"] += 1
                     continue
@@ -782,14 +801,14 @@ class EngineBridge:
                 for graph in consumers:
                     if graph.mode == "discrete":
                         if not self.runtime.enqueue(
-                            graph.stream_map[stream], tup
+                            graph.stream_map[stream], tup, origin
                         ):
                             admitted = False
                     else:
                         segments = self._fit(graph, stream, tup, counts)
                         for seg in segments:
                             if not self.runtime.enqueue(
-                                graph.stream_map[stream], seg
+                                graph.stream_map[stream], seg, origin
                             ):
                                 admitted = False
                 if admitted:
@@ -985,7 +1004,6 @@ class EngineBridge:
                 self._do_unsubscribe(sub_id)
         elif kind == "ingest":
             _, stream, tuples, policy = record
-            self.ingest_tuples += len(tuples)
             self._do_ingest(None, stream, tuples, policy)
         elif kind == "flush":
             self._do_flush()
@@ -1134,7 +1152,7 @@ class EngineBridge:
         processed = self.runtime.run_until_idle()
         tracer = tracing.current_tracer()
         for graph in self._graphs.values():
-            outputs = self.runtime.outputs(graph.runtime_name)
+            outputs, origins = self.runtime.drain(graph.runtime_name)
             if not outputs:
                 continue
             graph.seq += len(outputs)
@@ -1146,7 +1164,7 @@ class EngineBridge:
                     # Retention advances with the cursor everywhere the
                     # cursor does — replay included — so the tail always
                     # holds the positions just below ``cursor``.
-                    sub.retained.extend(outputs)
+                    sub.retained.extend(zip(outputs, origins))
                 subscribers.append((sub.sub_id, at))
                 if tracer is not None and not self._replaying:
                     parent = self._session_spans.get(sub.session_id)
@@ -1163,7 +1181,9 @@ class EngineBridge:
                 and subscribers
                 and not self._replaying
             ):
-                self.on_outputs(subscribers, graph.info(), outputs)
+                info = graph.info()
+                info["origins"] = origins
+                self.on_outputs(subscribers, info, outputs)
         self._emit_notifications()
         return processed
 

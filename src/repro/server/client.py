@@ -49,6 +49,14 @@ class ReconnectExhausted(PulseError):
         )
 
 
+def _connect(addr: tuple[str, int], timeout: float) -> socket.socket:
+    """A TCP connection with Nagle off: requests are whole lines, and
+    waiting to coalesce them only adds a delayed-ACK stall."""
+    sock = socket.create_connection(addr, timeout=timeout)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
 class PulseClient:
     """One blocking protocol session.
 
@@ -73,7 +81,7 @@ class PulseClient:
         self.reconnect_max_s = reconnect_max_s
         self._rng = random.Random()
         self._backpressure: str | None = None
-        self._sock = socket.create_connection((host, port), timeout=timeout)
+        self._sock = _connect(self._addr, timeout)
         self._file = self._sock.makefile("rb")
         self._next_id = 1
         #: Unsolicited pushes in arrival order (result/alert/
@@ -87,8 +95,8 @@ class PulseClient:
     def send_request(self, op: str, **fields) -> int:
         """Write one request and return its id without waiting.
 
-        The pipelining half of :meth:`_request`: the router keeps one
-        request in flight per worker and collects replies later with
+        The pipelining half of :meth:`_request`: the router sends every
+        worker its share of a batch before it collects any reply with
         :meth:`read_reply`.  Replies MUST be read in request order —
         the server answers in order, and a reply read out of turn
         would be mis-filed as a push.
@@ -170,9 +178,7 @@ class PulseClient:
         last_error: Exception | None = None
         for i in range(attempts):
             try:
-                self._sock = socket.create_connection(
-                    self._addr, timeout=self._timeout
-                )
+                self._sock = _connect(self._addr, self._timeout)
                 self._file = self._sock.makefile("rb")
                 return self.connect(self._backpressure)
             except (OSError, PulseError) as exc:
@@ -224,8 +230,9 @@ class PulseClient:
         With ``from_cursor``, a retention-enabled server also replays
         the outputs at cursor positions ``[from_cursor, cursor)`` in
         the ack; they are folded into :attr:`pushed` as a synthetic
-        ``result`` message so :meth:`drain_results` sees one gapless
-        stream across the reconnect.
+        ``result`` message (with their ``origins``) so
+        :meth:`drain_results` sees one gapless stream across the
+        reconnect.
         """
         fields: dict = {"subscription": subscription}
         if from_cursor is not None:
@@ -242,6 +249,7 @@ class PulseClient:
                     "graph": ack.get("graph"),
                     "cursor": ack["cursor"] - len(replayed),
                     "results": replayed,
+                    "origins": ack["replayed_origins"],
                 }
             )
         return ack

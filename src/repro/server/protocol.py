@@ -28,7 +28,7 @@ Server -> client responses (``id`` echoed) and pushes (no ``id``)::
      "error": "..."}
     {"type": "result", "subscription": 7, "query": "q1",
      "mode": "continuous", "graph": "q1~c", "seq": 0, "cursor": 0,
-     "results": [...]}
+     "results": [...], "origins": [...]}
     {"type": "alert", "kind": "slow_solve", ...}
     {"type": "backpressure", "policy": ..., "shed": n, "blocked": n,
      "dropped_results": n}
@@ -38,7 +38,9 @@ Subscriptions to one query share a single operator graph (the ``ack``
 names it in ``graph`` and reports the graph's current ``solve_bound``
 next to the subscription's own ``error_bound``); each ``result`` push
 carries the subscription id plus that subscription's ``cursor`` — its
-durable per-subscription delivery offset.  ``attach`` re-binds a
+durable per-subscription delivery offset — and ``origins``, parallel
+to ``results``: the ingest offset of the arrival that produced each
+result (``null`` for flush tails).  ``attach`` re-binds a
 subscription that survived a server restart (sessions are ephemeral;
 subscriptions and their cursors are durable) to the calling session.
 
@@ -49,12 +51,15 @@ servers; the fields that exist for its sake are usable by any client:
 * ``attach`` may carry ``from_cursor``; against a server running with
   result retention (``retain_results``), the ack then carries
   ``replayed`` — the serialized outputs at cursor positions
-  ``[from_cursor, cursor)``, re-delivered so a delivery stream torn by
-  a crash resumes with no gap.  ``from_cursor`` older than the
+  ``[from_cursor, cursor)`` — and their ``replayed_origins``,
+  re-delivered so a delivery stream torn by a crash resumes with no
+  gap.  ``from_cursor`` older than the
   retention window is a typed ``plan`` error, never a silent gap.
 * The router's own ``hello`` ack adds ``workers`` (fleet width) and
   ``role: "router"``; its ``result`` pushes carry ``seq`` — the
-  router-merged global result sequence for that subscription.
+  router-merged global result sequence for that subscription — and
+  ``origins`` counted in the router's own arrival order, so they equal
+  the origins a single server would report for the same ingests.
 
 Results are serialized segments in continuous mode (``key``,
 ``t_start``, ``t_end``, ``models`` mapping attribute -> ascending
@@ -162,6 +167,58 @@ def validate_request(obj: dict) -> str:
     return op
 
 
+def validate_register(obj: dict) -> tuple[str, str, object]:
+    """Check a ``register`` request; returns ``(name, query, fit)``
+    (``fit`` unchecked: the engine parses it)."""
+    name = obj.get("name")
+    text = obj.get("query")
+    if not isinstance(name, str) or not name:
+        raise ProtocolError("'name' must be a non-empty string")
+    if not isinstance(text, str) or not text:
+        raise ProtocolError("'query' must be a non-empty string")
+    return name, text, obj.get("fit")
+
+
+def validate_subscribe(obj: dict) -> tuple[str, str, float | None]:
+    """Check a ``subscribe`` request; returns ``(query, mode,
+    error_bound)``."""
+    query = obj.get("query")
+    if not isinstance(query, str):
+        raise ProtocolError("'query' must be a string")
+    mode = obj.get("mode", "continuous")
+    if mode not in MODES:
+        raise ProtocolError(f"mode must be one of {MODES}")
+    bound = obj.get("error_bound")
+    if bound is not None:
+        if isinstance(bound, bool) or not isinstance(bound, (int, float)):
+            raise ProtocolError("'error_bound' must be a number")
+        bound = float(bound)
+        if not bound > 0:
+            raise ProtocolError("'error_bound' must be positive")
+    return query, mode, bound
+
+
+def validate_ingest(obj: dict) -> tuple[str, list, int, int]:
+    """Check an ``ingest`` request; returns ``(stream, valid tuples,
+    rejected, rejected_nonfinite)``.  A bad tuple is counted and
+    skipped (:func:`validate_tuple`), never fatal to its batch."""
+    stream = obj.get("stream")
+    if not isinstance(stream, str) or not stream:
+        raise ProtocolError("'stream' must be a non-empty string")
+    raw_tuples = obj.get("tuples")
+    if not isinstance(raw_tuples, list):
+        raise ProtocolError("'tuples' must be a list")
+    valid = []
+    rejected = rejected_nonfinite = 0
+    for raw in raw_tuples:
+        try:
+            valid.append(validate_tuple(raw))
+        except ProtocolError as exc:
+            rejected += 1
+            rejected_nonfinite += exc.code == "nonfinite"
+    return stream, valid, rejected, rejected_nonfinite
+
+
 # ----------------------------------------------------------------------
 # tuples: the ingest boundary
 # ----------------------------------------------------------------------
@@ -245,11 +302,11 @@ def serialize_results(outputs: list) -> list[dict]:
 
 
 def error_response(req_id, exc: Exception) -> dict:
-    """Map an exception to an ``error`` response message."""
-    if isinstance(exc, ProtocolError):
-        code = exc.code
-    elif isinstance(exc, PulseError):
-        code = "plan"
+    """Map an exception to an ``error`` response message: a typed
+    library error keeps its ``code`` (default ``plan``), anything else
+    is a ``server`` fault."""
+    if isinstance(exc, PulseError):
+        code = getattr(exc, "code", "plan")
     else:
         code = "server"
     msg: dict = {"type": "error", "code": code, "error": str(exc)}

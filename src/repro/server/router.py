@@ -1,92 +1,78 @@
-"""Multi-node fleet front end: key-routed ingest with a deterministic
-merge edge.
+"""Multi-node fleet front end: key-routed scatter with an ordinal merge.
 
 :class:`PulseRouter` speaks the same NDJSON protocol as
-:class:`~.server.PulseServer` but owns no engine.  It holds one
-:class:`~.client.PulseClient` per worker server and composes three
-previously independent subsystems into a distributed runtime:
+:class:`~.server.PulseServer` but owns no engine; it holds one
+:class:`~.client.PulseClient` per worker server.
 
-* **Shard routing** (PR 3): every ingested tuple is assigned a worker
-  by :func:`~repro.engine.sharding.shard_of` on its routing key — the
-  same BLAKE2b assignment the in-process parallel runtime uses, so the
-  placement is stable across processes, restarts and machines.
-  Routing keys come from registered fit specs (``key_fields``), which
-  is exactly the granularity at which Pulse's equation systems are
-  independent: a worker that owns a key owns *all* of that key's
-  arrivals, so for per-key-partitionable queries each worker produces,
-  for its arrivals, bit-for-bit the outputs a single server would
-  have.
-* **The wire protocol** (PR 5): ``register``/``subscribe``/``flush``
-  fan out to every worker; ``ingest`` splits into *runs* (maximal
-  spans of consecutive same-worker tuples) that are pipelined — at
-  most one request in flight per worker — and merged back in run
-  order, which is global arrival order.
-* **Durability** (PR 7): each worker keeps its own WAL and recovers
-  independently; the router turns that into a *fleet* guarantee (see
-  below).
+**Routing.**  Every ingested tuple goes to worker ``shard_of(key, N)``
+(:mod:`repro.engine.sharding`: stable BLAKE2b, the same placement in
+every process), keyed on the registered fit spec's ``key_fields``.
+That is the granularity at which Pulse's equation systems are
+independent, so the worker that owns a key owns all of its arrivals.
+``register``/``subscribe``/``flush`` fan out to every worker.
+``ingest`` *scatters*: each worker gets its whole share of a client
+batch as one request (one WAL record, one fsync), and every worker is
+in flight before the router reads a reply.
 
-**The merge edge.**  Result pushes from workers are not forwarded
-blindly.  Per ``(worker, subscription)`` the router tracks
-``collected`` — the worker-side cursor it has merged through; each
-push carries the worker's cursor, so a re-delivered output is trimmed
-(``results[collected - cursor:]``) and can never reach a subscriber
-twice, while a cursor *ahead* of ``collected`` is a loud
-inconsistency, never a silent gap.  Merged pushes carry ``seq`` — the
-router-level per-subscription sequence — plus the originating
-``worker``.  Flush tails are the one place worker streams interleave
-*within* one request: a single engine drains its fitted-model tails in
-key arrival order since the last flush (builders are cleared at every
-barrier), a fleet drains worker-major; the router records each key's
-since-last-flush arrival ordinal at routing time
-(:class:`~repro.engine.sharding.KeyOrdinals`, reset per barrier) and
-stable-sorts the buffered flush tail back into the single-engine
-order.
+**The contract.**  Queries must be per-key partitionable
+(:mod:`repro.query.partition`): joins equi-keyed on the routing key
+fields, aggregates grouped by them, every stream routed on the same
+fields.  On fleets wider than one worker ``register`` refuses anything
+else with error code ``not_partitionable``.
+
+**Origins and the ordinal merge.**  Every worker output carries its
+*origin*: the worker-local ingest offset of the arrival that produced
+it (see :mod:`.bridge`).  Each worker's sent-but-unmerged share is its
+*window* of ``(offset, ordinal, stream, tuple)`` with contiguous
+offsets, so an origin maps straight back to the tuple's global arrival
+ordinal.  While one client request is served, results are buffered
+per subscription as ``(ordinal, result)`` and stable-sorted once every
+worker has answered; each subscription gets one push, worker notices
+follow, then the ack.  A single engine emits a batch's outputs in
+arrival order and equal ordinals come from one worker, so this is
+single-server order bit for bit.  Flush tails have no triggering
+arrival; they sort by each key's arrival ordinal since the last flush
+(:class:`~repro.engine.sharding.KeyOrdinals`, reset per barrier) —
+the order a single engine's model builders drain in.
+
+**Dedup.**  Per ``(worker, subscription)`` the router tracks
+``collected``, the worker cursor merged through: a re-delivered prefix
+is trimmed (``results[collected - cursor:]``), and a cursor *ahead* of
+``collected`` is a loud :class:`PulseError`, never a silent gap.
 
 **Fleet recovery.**  Workers run ``fsync_every=1`` and
-``retain_results > 0``.  When a worker socket dies, the router marks
-the worker down and finishes nothing early: recovery runs exactly when
-the dead worker's next run reaches its merge position, so no other
-worker's results are reordered around the outage.  Recovery replays
-the bounded :meth:`~.client.PulseClient.reconnect` dance, then:
+``retain_results > 0``.  A worker whose socket dies is recovered while
+its reply is gathered, so its outputs enter the same merge:
 
-1. merges any pushes read before the crash (advancing ``collected``);
-2. reads the worker's recovered durable offset
+1. merge the pushes read before the crash (advancing ``collected``);
+2. reconnect (bounded) and read the recovered durable offset
    (``stats.engine.durability.ingest_tuples``);
-3. re-binds every subscription with ``attach(from_cursor=collected)``
-   — the worker's retained-output replay closes the gap between what
-   the router merged and what the worker recovered, exactly once;
-4. re-ingests the sent-but-unacked tuples at offsets the worker's WAL
-   never saw (``offset >= durable`` are retransmitted; older ones are
-   already folded into worker state and their outputs arrived in
-   step 3).
+3. re-bind every subscription with ``attach(from_cursor=collected)``:
+   the worker's retained-output replay closes the gap exactly once;
+4. re-ingest the window's tuples at offsets ``>= durable``; older ones
+   are in worker state already, their outputs replayed in step 3.
 
-Because at most one run per worker is ever outstanding, the
-sent-but-unacked window is one run, the retention window a worker
-needs is one run's outputs, and the merged subscriber stream is
-bit-exact through a worker ``SIGKILL`` — no duplicate, no gap, no
-reordering.
-
-The contract: queries must be per-key partitionable (filters,
-per-key windows — anything whose output for a key depends only on
-that key's arrivals).  Cross-key operators (joins across keys, global
-aggregates) need a different placement and are rejected by review,
-not by the router.
+The window is one batch's share, so retention must cover one share's
+outputs, and the merged stream is bit-exact through a worker
+``SIGKILL``: no duplicate, no gap, no reordering.
 """
 
 from __future__ import annotations
 
 import socket
 import threading
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from ..core.errors import PulseError
 from ..engine.metrics import get_counter
-from ..engine.sharding import KeyOrdinals, shard_of, tuple_key
+from ..engine.sharding import KeyOrdinals, ShardRouter, tuple_key
+from ..query import parse_query, plan_query
+from ..query.partition import PartitionError, check_partitionable
 from . import protocol
 from .client import PulseClient, ServerError
 
-#: Counts an ingest ack's admission fields when summing across runs.
+#: Counts an ingest ack's admission fields when summing across workers.
 _COUNT_FIELDS = (
     "accepted", "blocked", "shed", "no_consumer", "fit_rejected",
 )
@@ -119,8 +105,8 @@ class _WorkerLink:
     """The router's half of one worker connection."""
 
     __slots__ = (
-        "index", "addr", "client", "sent", "unacked", "sub_map",
-        "dead", "recoveries",
+        "index", "addr", "client", "sent", "unacked", "requests",
+        "sub_map", "dead", "recoveries",
     )
 
     def __init__(self, index: int, addr: tuple[str, int],
@@ -139,13 +125,25 @@ class _WorkerLink:
         #: Tuples ever routed here; mirrors the worker's durable
         #: ``ingest_tuples`` offset once everything in flight is acked.
         self.sent = 0
-        #: ``(offset, stream, tuple)`` sent but not yet acked — at most
-        #: one run, thanks to the one-in-flight discipline.
-        self.unacked: deque[tuple[int, str, dict]] = deque()
+        #: The window: ``(offset, ordinal, stream, tuple)`` sent but not
+        #: yet merged, with contiguous offsets — the current batch's
+        #: share, plus whatever a failed recovery still owes.
+        self.unacked: list[tuple[int, int, str, dict]] = []
+        #: Ingest requests sent (retransmissions included).
+        self.requests = 0
         #: worker-side subscription id -> router subscription id.
         self.sub_map: dict[int, int] = {}
         self.dead = False
         self.recoveries = 0
+
+    def ordinal_of(self, origin) -> int | None:
+        """The global arrival ordinal of the window tuple at worker
+        offset ``origin``; ``None`` outside the window."""
+        window = self.unacked
+        if origin is None or not window:
+            return None
+        index = origin - window[0][0]
+        return window[index][1] if 0 <= index < len(window) else None
 
 
 @dataclass
@@ -177,6 +175,10 @@ class _Session:
     subscriptions: set = field(default_factory=set)
     requests: int = 0
     closing: bool = False
+    thread: threading.Thread | None = None
+    #: Encoded messages written during the current request; sent with
+    #: one ``sendall`` when the request finishes.
+    outbox: list = field(default_factory=list)
 
 
 class PulseRouter:
@@ -198,10 +200,14 @@ class PulseRouter:
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._workers: list[_WorkerLink] = []
+        self._shards = ShardRouter(len(config.workers))
         self._sessions: dict[int, _Session] = {}
+        self._dirty: list[_Session] = []
         self._subs: dict[int, _RouterSub] = {}
         self._next_session = 1
         self._next_sub = 1
+        #: Valid tuples routed so far: the next arrival's ordinal.
+        self._arrivals = 0
         #: stream name -> routing key fields (learned from registers).
         self._stream_keys: dict[str, tuple[str, ...]] = {}
         self._key_ordinals = KeyOrdinals()
@@ -210,9 +216,9 @@ class PulseRouter:
         #: next arrival, so its tails drain in arrival-since-last-flush
         #: order — hence a second ordinal map, reset at each barrier.
         self._flush_ordinals = KeyOrdinals()
-        #: When set (during flush), merged results buffer here per
-        #: router sub instead of being emitted immediately.
-        self._flush_buffer: dict[int, list] | None = None
+        #: While an ingest or flush gathers its workers' replies: router
+        #: sub id -> ``[(ordinal, result), ...]``, and worker notices.
+        self._buffer: tuple[dict, list] | None = None
         self._stopping = False
         self.port: int | None = None
         self._routed_counter = get_counter("router.tuples_routed")
@@ -240,29 +246,29 @@ class PulseRouter:
         return self
 
     def stop(self) -> None:
+        """Close the listener and every session, join their threads,
+        then close the worker links."""
         self._stopping = True
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-            self._listener = None
-        with self._lock:
-            for session in list(self._sessions.values()):
-                session.closing = True
-                try:
-                    session.sock.close()
-                except OSError:
-                    pass
-            self._sessions.clear()
-            for worker in self._workers:
-                try:
-                    worker.client.close()
-                except OSError:
-                    pass
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            _shutdown(listener)  # wakes the blocked accept()
+            listener.close()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
             self._accept_thread = None
+        with self._lock:
+            sessions = list(self._sessions.values())
+            for session in sessions:
+                session.closing = True
+                # The workers go down with the router; nothing to undo.
+                session.subscriptions.clear()
+                _shutdown(session.sock)  # wakes the session's read
+        for session in sessions:
+            session.thread.join(timeout=5)
+        with self._lock:
+            self._sessions.clear()
+            for worker in self._workers:
+                worker.client.close()
 
     def __enter__(self) -> "PulseRouter":
         return self.start()
@@ -279,20 +285,21 @@ class PulseRouter:
             try:
                 sock, peername = listener.accept()
             except OSError:
-                return  # listener closed
+                return  # listener shut down
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._lock:
                 session_id = self._next_session
                 self._next_session += 1
                 peer = f"{peername[0]}:{peername[1]}" if peername else "?"
                 session = _Session(session_id, sock, peer)
                 self._sessions[session_id] = session
-            thread = threading.Thread(
-                target=self._session_loop,
-                args=(session,),
-                name=f"pulse-router-session-{session_id}",
-                daemon=True,
-            )
-            thread.start()
+                session.thread = threading.Thread(
+                    target=self._session_loop,
+                    args=(session,),
+                    name=f"pulse-router-session-{session_id}",
+                    daemon=True,
+                )
+                session.thread.start()
 
     def _session_loop(self, session: _Session) -> None:
         reader = session.sock.makefile("rb")
@@ -307,6 +314,7 @@ class PulseRouter:
         except (OSError, ValueError):
             pass
         finally:
+            reader.close()
             self._close_session(session)
 
     def _close_session(self, session: _Session) -> None:
@@ -315,18 +323,10 @@ class PulseRouter:
             self._sessions.pop(session.session_id, None)
             for sub_id in list(session.subscriptions):
                 sub = self._subs.pop(sub_id, None)
-                if sub is None:
-                    continue
-                for worker in self._workers:
-                    wsub = sub.worker_subs[worker.index]
-                    worker.sub_map.pop(wsub, None)
-                    try:
-                        self._ensure_alive(worker)
-                        worker.client.unsubscribe(wsub)
-                        self._merge_worker_pushes(worker)
-                    except (OSError, PulseError):
-                        worker.dead = True
+                if sub is not None:
+                    self._unsubscribe_workers(sub, strict=False)
             session.subscriptions.clear()
+            self._flush_writes()
             try:
                 session.sock.close()
             except OSError:
@@ -335,10 +335,22 @@ class PulseRouter:
     def _write(self, session: _Session, message: dict) -> None:
         if session.closing:
             return
-        try:
-            session.sock.sendall(protocol.encode(message))
-        except OSError:
-            session.closing = True
+        if not session.outbox:
+            self._dirty.append(session)
+        session.outbox.append(protocol.encode(message))
+
+    def _flush_writes(self) -> None:
+        """Send every session's pending messages, one ``sendall`` each."""
+        for session in self._dirty:
+            data = b"".join(session.outbox)
+            session.outbox.clear()
+            if session.closing:
+                continue
+            try:
+                session.sock.sendall(data)
+            except OSError:
+                session.closing = True
+        self._dirty.clear()
 
     def _broadcast(self, message: dict) -> None:
         for session in self._sessions.values():
@@ -361,38 +373,34 @@ class PulseRouter:
                     response["id"] = req_id
                 self._write(session, response)
             except Exception as exc:  # one bad request never kills a session
-                self._write(session, self._error_response(req_id, exc))
-
-    @staticmethod
-    def _error_response(req_id, exc: Exception) -> dict:
-        if isinstance(exc, ServerError):
-            # A worker's typed error passes through with its code.
-            msg: dict = {"type": "error", "code": exc.code,
-                         "error": str(exc)}
-            if req_id is not None:
-                msg["id"] = req_id
-            return msg
-        return protocol.error_response(req_id, exc)
+                # Typed errors, a worker's included, keep their code.
+                self._write(session, protocol.error_response(req_id, exc))
+            finally:
+                self._flush_writes()
 
     # ------------------------------------------------------------------
     # the merge edge
     # ------------------------------------------------------------------
     def _merge_worker_pushes(self, worker: _WorkerLink) -> None:
         """Drain one worker's buffered pushes through dedup into the
-        subscriber stream (or the flush buffer)."""
+        subscriber stream (or the current request's merge buffer)."""
         client = worker.client
+        buffer = self._buffer
         while client.pushed:
             msg = client.pushed.popleft()
             if msg.get("type") != "result":
                 notice = dict(msg)
                 notice["worker"] = worker.index
-                self._broadcast(notice)
+                if buffer is not None:
+                    buffer[1].append(notice)
+                else:
+                    self._broadcast(notice)
                 continue
             sub_id = worker.sub_map.get(msg.get("subscription"))
             sub = self._subs.get(sub_id) if sub_id is not None else None
             if sub is None:
                 continue  # unsubscribed since; nothing to deliver to
-            results = msg.get("results", [])
+            results, origins = msg["results"], msg["origins"]
             expected = sub.collected[worker.index]
             cursor = msg.get("cursor", expected)
             if cursor > expected:
@@ -401,22 +409,24 @@ class PulseRouter:
                     f"{cursor} for subscription {sub.sub_id} but only "
                     f"{expected} outputs were merged"
                 )
-            fresh = results[expected - cursor:]
+            skip = expected - cursor
             sub.collected[worker.index] = max(
                 expected, cursor + len(results)
             )
-            if not fresh:
+            if skip >= len(results):
                 continue  # fully re-delivered; dedup swallowed it
-            if self._flush_buffer is not None:
-                self._flush_buffer.setdefault(sub.sub_id, []).extend(
-                    (self._result_ordinal(sub, res), res)
-                    for res in fresh
-                )
+            pairs = [
+                (worker.ordinal_of(origin), res)
+                for origin, res in zip(origins[skip:], results[skip:])
+            ]
+            if buffer is not None:
+                buffer[0].setdefault(sub.sub_id, []).extend(pairs)
             else:
-                self._emit(sub, msg, fresh, worker.index)
+                self._emit(sub, msg, pairs, worker.index)
 
-    def _emit(self, sub: _RouterSub, template: dict, results: list,
+    def _emit(self, sub: _RouterSub, template: dict, pairs: list,
               worker_index: int) -> None:
+        """Push ``(ordinal, result)`` pairs to the subscriber."""
         message = {
             "type": "result",
             "subscription": sub.sub_id,
@@ -426,40 +436,103 @@ class PulseRouter:
             "seq": sub.emitted,
             "cursor": sub.emitted,
             "worker": worker_index,
-            "results": results,
+            "results": [res for _origin, res in pairs],
+            "origins": [origin for origin, _res in pairs],
         }
-        sub.emitted += len(results)
-        self._merged_counter.bump(len(results))
+        sub.emitted += len(pairs)
+        self._merged_counter.bump(len(pairs))
         session = self._sessions.get(sub.session_id)
         if session is not None:
             self._write(session, message)
 
-    def _result_ordinal(self, sub: _RouterSub, result: dict) -> int:
-        """A result's key's arrival-since-last-flush ordinal (the
-        single-engine flush-tail drain order)."""
-        key = result.get("key")
-        if key is not None:
-            return self._flush_ordinals.ordinal_of(tuple(key))
+    def _gather(self, pending: list, on_dead, sort_key) -> list[dict]:
+        """Read each ``(worker, request id)`` reply in ``pending``,
+        merging the worker's pushes into the buffer; a worker found down
+        goes to ``on_dead``, whose return stands in for its ack.  Every
+        reply is drained even if one fails (no stale reply stays on a
+        socket).  Then each subscription's results are stable-sorted by
+        ``sort_key(sub, (ordinal, result))`` and emitted, notices
+        follow, and the first failure is raised."""
+        self._buffer = results, notices = {}, []
+        acks: list[dict] = []
+        error: Exception | None = None
+        try:
+            for worker, req_id in pending:
+                try:
+                    ack = self._read_ack(worker, req_id)
+                    if worker.dead:
+                        ack = on_dead(worker)
+                    self._merge_worker_pushes(worker)
+                except (OSError, PulseError) as exc:
+                    error = error or exc
+                    continue
+                worker.unacked.clear()
+                acks.append(ack)
+        finally:
+            self._buffer = None
+            for sub_id, pairs in results.items():
+                sub = self._subs.get(sub_id)
+                if sub is not None:
+                    pairs.sort(key=lambda pair: sort_key(sub, pair))
+                    self._emit(sub, {}, pairs, -1)
+            for notice in notices:
+                self._broadcast(notice)
+        if error is not None:
+            raise error
+        return acks
+
+    @staticmethod
+    def _send(worker: _WorkerLink, op: str, **fields) -> int | None:
+        """Send one request; ``None`` (and the worker marked down) when
+        the worker cannot take it."""
+        if worker.dead:
+            return None
+        try:
+            return worker.client.send_request(op, **fields)
+        except OSError:
+            worker.dead = True
+            return None
+
+    @staticmethod
+    def _read_ack(worker: _WorkerLink, req_id: int | None) -> dict | None:
+        """The reply to ``req_id``; ``None`` once the worker is down."""
+        if req_id is None or worker.dead:
+            return None
+        try:
+            return worker.client.read_reply(req_id)
+        except OSError:
+            pass
+        except ServerError as exc:
+            if exc.code != "eof":
+                raise  # a typed refusal, not a dead worker
+        worker.dead = True
+        return None
+
+    @staticmethod
+    def _arrival_key(sub: _RouterSub, pair: tuple) -> int:
+        """Ingest merge order: the producing tuple's global ordinal
+        (outputs from before the window sort first)."""
+        return -1 if pair[0] is None else pair[0]
+
+    def _flush_key(self, sub: _RouterSub, pair: tuple) -> int:
+        """Flush merge order: the result key's arrival-since-last-flush
+        ordinal (the single-engine tail drain order)."""
+        key = pair[1].get("key")
         return self._flush_ordinals.ordinal_of(
-            tuple_key(result, sub.key_fields)
+            tuple(key) if key is not None
+            else tuple_key(pair[1], sub.key_fields)
         )
 
     # ------------------------------------------------------------------
     # fleet recovery
     # ------------------------------------------------------------------
-    def _ensure_alive(self, worker: _WorkerLink) -> dict | None:
-        """Recover a down worker; returns the recovery's synthesized
-        ingest counts (``None`` when the worker was already healthy)."""
-        if not worker.dead:
-            return None
-        return self._recover_worker(worker)
+    def _ensure_alive(self, worker: _WorkerLink) -> None:
+        if worker.dead:
+            self._recover_worker(worker)
 
     def _recover_worker(self, worker: _WorkerLink) -> dict:
-        """The fleet half of crash recovery (see the module docstring).
-
-        Runs at the dead worker's next merge position, so recovered
-        outputs land exactly where the lost run's outputs belonged.
-        """
+        """The fleet half of crash recovery (see the module docstring);
+        returns synthesized ingest counts for the window."""
         # 1. Pushes read before the crash advance the dedup line first,
         #    so attach's from_cursor never re-requests merged outputs.
         self._merge_worker_pushes(worker)
@@ -479,7 +552,7 @@ class PulseRouter:
         durable = durability["ingest_tuples"]
         # 3. Re-bind subscriptions; retained-output replay closes the
         #    delivery gap [collected, recovered cursor) exactly once.
-        for sub_id, sub in self._subs.items():
+        for sub in self._subs.values():
             if worker.index >= len(sub.worker_subs):
                 continue  # mid-fan-out: this worker never saw the sub
             wsub = sub.worker_subs[worker.index]
@@ -487,151 +560,85 @@ class PulseRouter:
                 wsub, from_cursor=sub.collected[worker.index]
             )
             self._merge_worker_pushes(worker)
-        # 4. Retransmit what the WAL never saw; older unacked tuples
-        #    are already in worker state (their outputs came via the
-        #    attach replay) and must NOT be re-ingested.
+        # 4. Retransmit what the WAL never saw; older window tuples are
+        #    already in worker state (their outputs came via the attach
+        #    replay) and must NOT be re-ingested.  The window stays put
+        #    until the retransmission's outputs are merged through it.
         resend = [entry for entry in worker.unacked if entry[0] >= durable]
-        recovered = len(worker.unacked) - len(resend)
-        worker.unacked.clear()
-        counts = {name: 0 for name in _COUNT_FIELDS}
-        counts["accepted"] = recovered  # durable => admitted pre-crash
-        start = 0
-        while start < len(resend):
-            stream = resend[start][1]
-            stop = start
-            while stop < len(resend) and resend[stop][1] == stream:
-                stop += 1
-            batch = [dict(entry[2]) for entry in resend[start:stop]]
-            ack = worker.client.ingest(stream, batch)
+        counts = dict.fromkeys(_COUNT_FIELDS, 0)
+        # Durable means admitted before the crash.
+        counts["accepted"] = len(worker.unacked) - len(resend)
+        for stream, entries in groupby(resend, key=lambda entry: entry[2]):
+            ack = worker.client.ingest(
+                stream, [entry[3] for entry in entries]
+            )
+            worker.requests += 1
             self._merge_worker_pushes(worker)
             for name in _COUNT_FIELDS:
                 counts[name] += ack.get(name, 0)
-            start = stop
+        worker.unacked.clear()
         worker.dead = False
-        counts["recovered_durable"] = recovered
-        counts["retransmitted"] = len(resend)
         return counts
 
+    def _recover_and_flush(self, worker: _WorkerLink) -> dict:
+        self._recover_worker(worker)
+        return worker.client.flush()
+
     # ------------------------------------------------------------------
-    # ingest: run-split fan-out with one in-flight request per worker
+    # ingest: per-batch scatter, ordinal merge
     # ------------------------------------------------------------------
     def _op_ingest(self, session: _Session, obj: dict) -> dict:
-        stream = obj.get("stream")
-        if not isinstance(stream, str) or not stream:
-            raise protocol.ProtocolError(
-                "'stream' must be a non-empty string"
-            )
-        raw_tuples = obj.get("tuples")
-        if not isinstance(raw_tuples, list):
-            raise protocol.ProtocolError("'tuples' must be a list")
-        valid = []
-        rejected = 0
-        rejected_nonfinite = 0
-        for raw in raw_tuples:
-            try:
-                valid.append(protocol.validate_tuple(raw))
-            except protocol.ProtocolError as exc:
-                rejected += 1
-                if exc.code == "nonfinite":
-                    rejected_nonfinite += 1
+        stream, valid, rejected, rejected_nonfinite = (
+            protocol.validate_ingest(obj)
+        )
         key_fields = self._stream_keys.get(
             stream, self.config.default_key_fields
         )
-        num_workers = len(self._workers)
-        # Maximal spans of consecutive same-worker tuples: each run is
-        # one worker request, and run order is global arrival order.
-        runs: list[tuple[int, list[dict]]] = []
-        for tup in valid:
+        shares: list[list[tuple[int, dict]]] = [[] for _ in self._workers]
+        for ordinal, tup in enumerate(valid, start=self._arrivals):
             key = tuple_key(tup, key_fields)
             self._key_ordinals.observe(key)
             self._flush_ordinals.observe(key)
-            target = shard_of(key, num_workers)
-            if runs and runs[-1][0] == target:
-                runs[-1][1].append(dict(tup))
-            else:
-                runs.append((target, [dict(tup)]))
+            shares[self._shards.shard_of(key)].append((ordinal, dict(tup)))
+        self._arrivals += len(valid)
         self._routed_counter.bump(len(valid))
-        totals = {name: 0 for name in _COUNT_FIELDS}
-        for ack in self._run_fanout(stream, runs):
-            for name in _COUNT_FIELDS:
-                totals[name] += ack.get(name, 0)
+        # Scatter: every share is in flight before any reply is read.
+        pending = [
+            (worker, self._send_share(worker, stream, share))
+            for worker, share in zip(self._workers, shares)
+            if share
+        ]
+        acks = self._gather(pending, self._recover_worker, self._arrival_key)
         return {
             "type": "ack",
             "stream": stream,
             "rejected": rejected,
             "rejected_nonfinite": rejected_nonfinite,
-            "runs": len(runs),
-            **totals,
+            "runs": len(pending),
+            **{
+                name: sum(ack.get(name, 0) for ack in acks)
+                for name in _COUNT_FIELDS
+            },
         }
 
-    def _run_fanout(
-        self, stream: str, runs: list[tuple[int, list[dict]]]
-    ) -> list[dict]:
-        """Send runs with at most one in flight per worker; collect
-        acks (and merge pushes) in global run order."""
-        num_workers = len(self._workers)
-        per_worker: list[list[int]] = [[] for _ in range(num_workers)]
-        for index, (target, _tuples) in enumerate(runs):
-            per_worker[target].append(index)
-        next_run = [0] * num_workers  # per-worker send pointer
-        inflight: list[int | None] = [None] * num_workers
-        req_ids: dict[int, int | None] = {}
-
-        def pump(worker: _WorkerLink) -> None:
-            windex = worker.index
-            if inflight[windex] is not None:
-                return
-            if next_run[windex] >= len(per_worker[windex]):
-                return
-            run_index = per_worker[windex][next_run[windex]]
-            next_run[windex] += 1
-            tuples = runs[run_index][1]
-            base = worker.sent
-            # Sent-accounting happens whether or not the bytes make it:
-            # a send that errors mid-way may still have delivered the
-            # full request, so recovery must treat it as in flight.
-            worker.unacked.extend(
-                (base + i, stream, tup) for i, tup in enumerate(tuples)
-            )
-            worker.sent += len(tuples)
-            if worker.dead:
-                req_ids[run_index] = None  # retransmitted at merge time
-            else:
-                try:
-                    req_ids[run_index] = worker.client.send_request(
-                        "ingest", stream=stream, tuples=tuples
-                    )
-                except OSError:
-                    worker.dead = True
-                    req_ids[run_index] = None
-            inflight[windex] = run_index
-
-        for worker in self._workers:
-            pump(worker)
-
-        acks: list[dict] = []
-        for run_index, (target, tuples) in enumerate(runs):
-            worker = self._workers[target]
-            assert inflight[target] == run_index, "run collection order"
-            req_id = req_ids.pop(run_index)
-            ack: dict | None = None
-            if not worker.dead and req_id is not None:
-                try:
-                    ack = worker.client.read_reply(req_id)
-                    for _ in tuples:
-                        worker.unacked.popleft()
-                except (OSError, ServerError) as exc:
-                    if isinstance(exc, ServerError) and exc.code != "eof":
-                        raise  # a typed refusal, not a dead worker
-                    worker.dead = True
-            if worker.dead:
-                # This run's merge position IS the recovery point.
-                ack = self._recover_worker(worker)
-            inflight[target] = None
-            self._merge_worker_pushes(worker)
-            acks.append(ack if ack is not None else {})
-            pump(worker)
-        return acks
+    def _send_share(self, worker: _WorkerLink, stream: str,
+                    share: list[tuple[int, dict]]) -> int | None:
+        base = worker.sent
+        # Sent-accounting happens whether or not the bytes make it: a
+        # send that errors mid-way may still have delivered the full
+        # request, so recovery must treat it as in flight.
+        worker.unacked.extend(
+            (base + i, ordinal, stream, tup)
+            for i, (ordinal, tup) in enumerate(share)
+        )
+        worker.sent += len(share)
+        req_id = self._send(
+            worker, "ingest", stream=stream,
+            tuples=[tup for _ordinal, tup in share],
+        )
+        if req_id is not None:
+            worker.requests += 1
+        return req_id
 
     # ------------------------------------------------------------------
     # fan-out ops
@@ -656,14 +663,31 @@ class PulseRouter:
             "streams": hello.get("streams", []),
         }
 
+    def _check_partitionable(self, text: str, fit) -> None:
+        """Refuse a query the fleet cannot merge exactly (see the
+        module docstring)."""
+        if len(self._workers) == 1:
+            return  # one worker sees every key
+        planned = plan_query(parse_query(text))
+        fit_keys = fit.get("key_fields") if isinstance(fit, dict) else None
+        routing = {
+            stream: self._stream_keys.get(
+                stream, tuple(fit_keys or self.config.default_key_fields)
+            )
+            for stream in planned.stream_sources
+        }
+        if len(set(routing.values())) > 1:
+            raise PartitionError(
+                f"streams route on different key fields {routing}; a "
+                f"fleet cannot co-partition them"
+            )
+        key_fields = next(iter(routing.values()), ())
+        if key_fields:  # unkeyed streams all route to worker 0
+            check_partitionable(planned.root, key_fields)
+
     def _op_register(self, session: _Session, obj: dict) -> dict:
-        name = obj.get("name")
-        text = obj.get("query")
-        if not isinstance(name, str) or not name:
-            raise protocol.ProtocolError("'name' must be a non-empty string")
-        if not isinstance(text, str) or not text:
-            raise protocol.ProtocolError("'query' must be a non-empty string")
-        fit = obj.get("fit")
+        name, text, fit = protocol.validate_register(obj)
+        self._check_partitionable(text, fit)
         first_ack: dict | None = None
         for worker in self._workers:
             self._ensure_alive(worker)
@@ -703,21 +727,7 @@ class PulseRouter:
         }
 
     def _op_subscribe(self, session: _Session, obj: dict) -> dict:
-        query = obj.get("query")
-        if not isinstance(query, str):
-            raise protocol.ProtocolError("'query' must be a string")
-        mode = obj.get("mode", "continuous")
-        if mode not in protocol.MODES:
-            raise protocol.ProtocolError(
-                f"mode must be one of {protocol.MODES}"
-            )
-        bound = obj.get("error_bound")
-        if bound is not None:
-            if isinstance(bound, bool) or not isinstance(bound, (int, float)):
-                raise protocol.ProtocolError("'error_bound' must be a number")
-            bound = float(bound)
-            if not bound > 0:
-                raise protocol.ProtocolError("'error_bound' must be positive")
+        query, mode, bound = protocol.validate_subscribe(obj)
         sub_id = self._next_sub
         self._next_sub += 1
         sub = _RouterSub(
@@ -738,14 +748,7 @@ class PulseRouter:
         except Exception:
             # Roll back the partial fan-out so no orphan mapping can
             # route results to a subscription that never existed.
-            for worker in self._workers[: len(sub.worker_subs)]:
-                wsub = sub.worker_subs[worker.index]
-                worker.sub_map.pop(wsub, None)
-                try:
-                    worker.client.unsubscribe(wsub)
-                    self._merge_worker_pushes(worker)
-                except (OSError, PulseError):
-                    worker.dead = True
+            self._unsubscribe_workers(sub, strict=False)
             del self._subs[sub_id]
             raise
         assert last_ack is not None
@@ -776,16 +779,25 @@ class PulseRouter:
             raise protocol.ProtocolError(
                 f"subscription {sub_id!r} does not belong to this session"
             )
-        sub = self._subs[sub_id]
-        for worker in self._workers:
-            self._ensure_alive(worker)
-            wsub = sub.worker_subs[worker.index]
-            worker.sub_map.pop(wsub, None)
-            worker.client.unsubscribe(wsub)
-            self._merge_worker_pushes(worker)
+        self._unsubscribe_workers(self._subs[sub_id], strict=True)
         session.subscriptions.discard(sub_id)
         del self._subs[sub_id]
         return {"type": "ack", "subscription": sub_id}
+
+    def _unsubscribe_workers(self, sub: _RouterSub, strict: bool) -> None:
+        """Drop ``sub`` on every worker that has it.  A failure raises
+        when ``strict``; otherwise it marks that worker down."""
+        for worker in self._workers[: len(sub.worker_subs)]:
+            wsub = sub.worker_subs[worker.index]
+            worker.sub_map.pop(wsub, None)
+            try:
+                self._ensure_alive(worker)
+                worker.client.unsubscribe(wsub)
+                self._merge_worker_pushes(worker)
+            except (OSError, PulseError):
+                if strict:
+                    raise
+                worker.dead = True
 
     def _op_attach(self, session: _Session, obj: dict) -> dict:
         """Re-bind a router subscription to a new client session.
@@ -828,53 +840,28 @@ class PulseRouter:
         A single engine drains its fitted-model tails in key arrival
         order *since the last flush* (its per-key builders are cleared
         at every barrier and re-inserted on the next arrival); the
-        fleet drains worker-major.  Buffering the merged flush results
-        and stable-sorting them by each key's since-last-flush ordinal
-        restores the single-engine order bit-exactly (workers emit
-        their own tails already in that order, and arrival order
-        within one key lives entirely on one worker).
+        fleet drains worker-major.  Sorting the gathered flush results
+        by each key's since-last-flush ordinal restores the
+        single-engine order bit-exactly (workers emit their own tails
+        already in that order, and arrival order within one key lives
+        entirely on one worker).
         """
-        self._flush_buffer = {}
         try:
-            totals = {"flushed_segments": 0, "processed": 0}
-            pending: list[tuple[_WorkerLink, int | None]] = []
-            for worker in self._workers:
-                self._ensure_alive(worker)
-                try:
-                    req_id = worker.client.send_request("flush")
-                except OSError:
-                    worker.dead = True
-                    req_id = None
-                pending.append((worker, req_id))
-            for worker, req_id in pending:
-                ack: dict | None = None
-                if req_id is not None and not worker.dead:
-                    try:
-                        ack = worker.client.read_reply(req_id)
-                    except (OSError, ServerError) as exc:
-                        if isinstance(exc, ServerError) and exc.code != "eof":
-                            raise
-                        worker.dead = True
-                if worker.dead:
-                    self._recover_worker(worker)
-                    ack = worker.client.flush()
-                self._merge_worker_pushes(worker)
-                assert ack is not None
-                totals["flushed_segments"] += ack.get("flushed_segments", 0)
-                totals["processed"] += ack.get("processed", 0)
-            buffered = self._flush_buffer
-            self._flush_buffer = None
-            for sub_id, entries in buffered.items():
-                sub = self._subs.get(sub_id)
-                if sub is None:
-                    continue
-                entries.sort(key=lambda entry: entry[0])  # stable
-                self._emit(
-                    sub, {}, [res for _ord, res in entries], -1
-                )
-            return {"type": "ack", **totals}
+            pending = [
+                (worker, self._send(worker, "flush"))
+                for worker in self._workers
+            ]
+            acks = self._gather(
+                pending, self._recover_and_flush, self._flush_key
+            )
+            return {
+                "type": "ack",
+                "flushed_segments": sum(
+                    ack.get("flushed_segments", 0) for ack in acks
+                ),
+                "processed": sum(ack.get("processed", 0) for ack in acks),
+            }
         finally:
-            self._flush_buffer = None
             # The barrier drained every builder; the next epoch's tail
             # order starts from a clean slate.
             self._flush_ordinals = KeyOrdinals()
@@ -897,6 +884,7 @@ class PulseRouter:
                 "addr": f"{worker.addr[0]}:{worker.addr[1]}",
                 "sent": worker.sent,
                 "unacked": len(worker.unacked),
+                "requests": worker.requests,
                 "dead": worker.dead,
                 "recoveries": worker.recoveries,
             }
@@ -934,3 +922,10 @@ class PulseRouter:
             },
             "keys_seen": len(self._key_ordinals),
         }
+
+
+def _shutdown(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # not connected (any more)

@@ -236,6 +236,7 @@ class PulseServer:
                 "seq": conn.results_sent,
                 "cursor": cursor,
                 "results": results,
+                "origins": info["origins"],
             }
             conn.results_sent += len(results)
             self._results_counter.bump(len(results))
@@ -297,9 +298,14 @@ class PulseServer:
     async def _writer_task(self, conn: _Connection) -> None:
         try:
             while True:
+                # One write per wake-up, so a request's pushes and its
+                # ack leave together instead of as many small sends.
+                chunks = []
                 while conn.outbound:
                     message, _sheddable = conn.outbound.popleft()
-                    conn.writer.write(protocol.encode(message))
+                    chunks.append(protocol.encode(message))
+                if chunks:
+                    conn.writer.write(b"".join(chunks))
                 await conn.writer.drain()
                 if conn.closing:
                     return
@@ -414,13 +420,7 @@ class PulseServer:
         }
 
     async def _op_register(self, conn: _Connection, obj: dict) -> dict:
-        name = obj.get("name")
-        text = obj.get("query")
-        if not isinstance(name, str) or not name:
-            raise protocol.ProtocolError("'name' must be a non-empty string")
-        if not isinstance(text, str) or not text:
-            raise protocol.ProtocolError("'query' must be a non-empty string")
-        fit = obj.get("fit")
+        name, text, fit = protocol.validate_register(obj)
         fit_spec = FitSpec.from_wire(fit) if fit is not None else None
         result = await asyncio.wrap_future(
             self.bridge.register_query(name, text, fit_spec)
@@ -428,23 +428,7 @@ class PulseServer:
         return {"type": "ack", **result}
 
     async def _op_subscribe(self, conn: _Connection, obj: dict) -> dict:
-        query = obj.get("query")
-        if not isinstance(query, str):
-            raise protocol.ProtocolError("'query' must be a string")
-        mode = obj.get("mode", "continuous")
-        if mode not in protocol.MODES:
-            raise protocol.ProtocolError(
-                f"mode must be one of {protocol.MODES}"
-            )
-        bound = obj.get("error_bound")
-        if bound is not None:
-            if isinstance(bound, bool) or not isinstance(
-                bound, (int, float)
-            ):
-                raise protocol.ProtocolError("'error_bound' must be a number")
-            bound = float(bound)
-            if not bound > 0:
-                raise protocol.ProtocolError("'error_bound' must be positive")
+        query, mode, bound = protocol.validate_subscribe(obj)
         sub_id = self._next_sub
         self._next_sub += 1
         result = await asyncio.wrap_future(
@@ -485,25 +469,12 @@ class PulseServer:
         return {"type": "ack", **result}
 
     async def _op_ingest(self, conn: _Connection, obj: dict) -> dict:
-        stream = obj.get("stream")
-        if not isinstance(stream, str) or not stream:
-            raise protocol.ProtocolError("'stream' must be a non-empty string")
-        raw_tuples = obj.get("tuples")
-        if not isinstance(raw_tuples, list):
-            raise protocol.ProtocolError("'tuples' must be a list")
-        valid = []
-        rejected = 0
-        rejected_nonfinite = 0
-        for raw in raw_tuples:
-            try:
-                valid.append(protocol.validate_tuple(raw))
-            except protocol.ProtocolError as exc:
-                rejected += 1
-                if exc.code == "nonfinite":
-                    rejected_nonfinite += 1
-                    self._rejected_nonfinite.bump()
-                else:
-                    self._rejected_malformed.bump()
+        stream, valid, rejected, rejected_nonfinite = (
+            protocol.validate_ingest(obj)
+        )
+        if rejected:
+            self._rejected_nonfinite.bump(rejected_nonfinite)
+            self._rejected_malformed.bump(rejected - rejected_nonfinite)
         conn.rejected += rejected
         counts = {"accepted": 0, "blocked": 0, "shed": 0,
                   "no_consumer": 0, "fit_rejected": 0}

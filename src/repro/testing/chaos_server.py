@@ -32,8 +32,9 @@ import time
 from ..server.server import ServerConfig, ServerThread
 
 #: Default per-subscription retained-output window for fleet workers.
-#: Must cover one in-flight run's outputs (see router docs); runs are
-#: bounded by the client's ingest batch, so this is generous.
+#: Must cover the outputs of one batch's share (the router's window,
+#: see its docs); shares are bounded by the client's ingest batch, so
+#: this is generous.
 DEFAULT_RETAIN = 4096
 
 

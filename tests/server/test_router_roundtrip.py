@@ -17,10 +17,12 @@ pinned at the bottom.
 
 import socket
 import threading
+import time
 from contextlib import contextmanager
 
 import pytest
 
+from repro.bench.queries import COLLISION_SQL
 from repro.core.transform import to_continuous_plan
 from repro.engine.lowering import to_discrete_plan
 from repro.engine.sharding import shard_of
@@ -166,11 +168,51 @@ class TestMergedParity:
             client.subscribe("q", mode="discrete")
             ack = client.ingest(STREAM, tuples)
             assert ack["accepted"] == len(tuples)
-            assert ack["runs"] > 3  # interleaved keys -> many runs
+            assert ack["runs"] <= 3  # one request per worker, however
+            # interleaved the keys
             stats = client.stats()
             sent = [w["sent"] for w in stats["workers"]]
             assert all(s > 0 for s in sent)
             assert sum(sent) == len(tuples)
+
+    def test_interleaved_batch_costs_one_request_per_worker(self):
+        tuples = moving_tuples(240)
+        with fleet_client(3) as client:
+            client.register("q", QUERY, fit=FIT)
+            client.subscribe("q", mode="discrete")
+            before = client.stats()["workers"]
+            client.ingest(STREAM, tuples)
+            after = client.stats()["workers"]
+        requests = sum(
+            a["requests"] - b["requests"] for a, b in zip(after, before)
+        )
+        assert 0 < requests <= 3
+
+    def test_merged_origins_match_single_server(self):
+        """The router's origins count its own arrivals, so they equal
+        a single server's for the same ingests."""
+        tuples = moving_tuples(150)
+
+        def drive(client):
+            client.register("q", QUERY, fit=FIT)
+            sub = client.subscribe("q", mode="discrete")
+            for start in range(0, len(tuples), 40):
+                client.ingest(STREAM, tuples[start:start + 40])
+            return [
+                (origin, result)
+                for msg in client.pushed
+                if msg.get("subscription") == sub["subscription"]
+                for origin, result in zip(msg["origins"], msg["results"])
+            ]
+
+        with ServerThread(ServerConfig()) as handle:
+            with PulseClient("127.0.0.1", handle.port) as client:
+                client.connect()
+                single = drive(client)
+        with fleet_client(3) as client:
+            merged = drive(client)
+        assert len(single) > 0
+        assert merged == single
 
     def test_merged_pushes_carry_contiguous_seq(self):
         tuples = moving_tuples(150)
@@ -208,6 +250,65 @@ class TestMergedParity:
             assert ack["accepted"] == 1
             assert ack["rejected"] == 2
             assert ack["rejected_nonfinite"] == 1
+
+
+class TestPartitionContract:
+    def test_router_refuses_cross_key_join(self):
+        sql = COLLISION_SQL.format(radius_sq=100.0)
+        with fleet_client(2) as client:
+            with pytest.raises(ServerError) as excinfo:
+                client.register("collide", sql, fit=FIT)
+            assert excinfo.value.code == "not_partitionable"
+            # nothing reached the workers: the name is still free
+            assert client.register("collide", QUERY, fit=FIT)
+
+    def test_single_server_accepts_cross_key_join(self):
+        sql = COLLISION_SQL.format(radius_sq=100.0)
+        with ServerThread(ServerConfig()) as handle:
+            with PulseClient("127.0.0.1", handle.port) as client:
+                client.connect()
+                assert client.register("collide", sql, fit=FIT)[
+                    "registered"
+                ] == "collide"
+
+    @pytest.mark.parametrize("sql", [
+        "select * from objects as L join objects as R "
+        "on L.id = R.id and L.x < R.x",
+        "select id, avg(x) from objects [size 10 advance 2] group by id",
+    ])
+    def test_router_accepts_keyed_joins_and_aggregates(self, sql):
+        with fleet_client(2) as client:
+            assert client.register("q", sql, fit=FIT)["registered"] == "q"
+
+    def test_router_refuses_global_aggregate(self):
+        sql = "select avg(x) from objects [size 10 advance 2]"
+        with fleet_client(2) as client:
+            with pytest.raises(ServerError) as excinfo:
+                client.register("q", sql, fit=FIT)
+            assert excinfo.value.code == "not_partitionable"
+
+
+class TestRouterShutdown:
+    def test_stop_is_prompt_and_leaves_no_thread(self):
+        handle = ServerThread(ServerConfig()).start()
+        try:
+            router = PulseRouter(
+                RouterConfig(workers=(("127.0.0.1", handle.port),))
+            ).start()
+            with PulseClient("127.0.0.1", router.port) as client:
+                client.connect()
+                client.register("q", QUERY, fit=FIT)
+                client.subscribe("q", mode="discrete")
+                t0 = time.perf_counter()
+                router.stop()
+                elapsed = time.perf_counter() - t0
+        finally:
+            handle.stop()
+        assert elapsed < 0.5
+        assert not [
+            t.name for t in threading.enumerate()
+            if t.name.startswith("pulse-router-")
+        ]
 
 
 class TestSubscriptionLifecycle:

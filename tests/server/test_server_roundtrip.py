@@ -192,6 +192,61 @@ class TestContinuousParity:
             assert info.value.code == "plan"
 
 
+class TestOrigins:
+    """Every result names the ingest offset of the arrival that
+    produced it (the router's merge key)."""
+
+    @staticmethod
+    def _pushes(client, sub_id):
+        return [
+            msg for msg in client.pushed
+            if msg.get("type") == "result"
+            and msg["subscription"] == sub_id
+        ]
+
+    def test_discrete_origins_are_ingest_offsets(self):
+        tuples = moving_tuples(120)
+        with ServerThread(ServerConfig(), [("q", "select * from objects",
+                                            None)]) as handle:
+            with PulseClient("127.0.0.1", handle.port) as c:
+                c.connect()
+                sub = c.subscribe("q", mode="discrete")["subscription"]
+                for start in range(0, len(tuples), 25):
+                    c.ingest(STREAM, tuples[start:start + 25])
+                pushes = self._pushes(c, sub)
+        origins = [o for msg in pushes for o in msg["origins"]]
+        results = [r for msg in pushes for r in msg["results"]]
+        # select * emits each tuple once, stamped with its offset
+        assert origins == list(range(len(tuples)))
+        assert results == serialize_results(
+            [StreamTuple(t) for t in tuples]
+        )
+
+    def test_continuous_origins_never_decrease(self):
+        # short velocity legs, so segments seal mid-stream
+        gen = MovingObjectGenerator(MovingObjectConfig(
+            rate=240.0, tuples_per_segment=5, seed=7
+        ))
+        tuples = [dict(t) for t in gen.tuples(240)]
+        with ServerThread(ServerConfig(), [("q", QUERY, None)]) as handle:
+            with PulseClient("127.0.0.1", handle.port) as c:
+                c.connect()
+                c.register("qc", QUERY, fit=FIT)
+                sub = c.subscribe("qc", error_bound=0.05)["subscription"]
+                for start in range(0, len(tuples), 60):
+                    c.ingest(STREAM, tuples[start:start + 60])
+                pushes = self._pushes(c, sub)
+                c.flush()
+                tail = self._pushes(c, sub)[len(pushes):]
+        origins = [o for msg in pushes for o in msg["origins"]]
+        assert origins and all(
+            isinstance(o, int) and 0 <= o < len(tuples) for o in origins
+        )
+        assert origins == sorted(origins)
+        # flush tails have no triggering arrival
+        assert all(o is None for msg in tail for o in msg["origins"])
+
+
 class TestIngestBoundary:
     def test_nonfinite_wire_literal_rejected_and_counted(self, server):
         """NaN over the wire: json.loads admits it, the server rejects
