@@ -45,11 +45,11 @@ seam-adjacent geometry; the property suite
 asserts of ``benchmarks/bench_incremental_resolve.py`` enforce the
 equivalence empirically.
 
-Durability.  Solved ``TimeSet`` state is a derived cache: a
-:class:`SolutionStore` pickles as an *empty* store (entries are
-recomputed on demand after a restore, which only costs solves, never
-correctness), while :class:`LruMemo` keeps its entries but drops its
-metric handles (rebound lazily in the restored process).
+Durability.  Solved ``TimeSet`` state and compile memos are derived
+caches: a :class:`SolutionStore` and an :class:`LruMemo` both pickle
+*empty* (entries are recomputed on demand after a restore, which only
+costs solves and compiles, never correctness), and the memo's metric
+handles are rebound lazily in the restored process.
 """
 
 from __future__ import annotations
@@ -141,16 +141,15 @@ class LruMemo:
     def clear(self) -> None:
         self._map.clear()
 
-    # -- pickling: entries survive, metric handles (locks) do not ------
+    # -- pickling: derived cache — neither entries nor metric handles --
     def __getstate__(self):
         return {
-            "entries": list(self._map.items()),
             "maxsize": self.maxsize,
             "metric_prefix": self._metric_prefix,
         }
 
     def __setstate__(self, state) -> None:
-        object.__setattr__(self, "_map", OrderedDict(state["entries"]))
+        object.__setattr__(self, "_map", OrderedDict())
         object.__setattr__(self, "maxsize", state["maxsize"])
         object.__setattr__(
             self, "_metric_prefix", state["metric_prefix"]

@@ -233,13 +233,18 @@ class HistoricalProcessor:
         return len(self.segments)
 
     def run(self, planned, stream: str | None = None) -> list[Segment]:
-        """Execute one query over the stored model."""
+        """Execute one query over the stored model.
+
+        The stored segments go through the plan as one round, so each
+        operator runs once per query and the filter solves all its
+        systems in one kernel sweep; the outputs equal pushing the
+        segments one at a time.
+        """
         query = to_continuous_plan(planned)
         stream = stream or next(iter(planned.stream_sources))
-        outputs: list[Segment] = []
-        for segment in self.segments:
-            outputs.extend(query.push(stream, segment))
-        return outputs
+        return query.push_round(
+            [(stream, segment) for segment in self.segments]
+        )
 
     def run_many(
         self, planned_queries: Sequence, stream: str | None = None

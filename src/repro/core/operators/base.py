@@ -51,6 +51,20 @@ class ContinuousOperator:
         """Consume one input segment; return the output segments."""
         raise NotImplementedError
 
+    def process_batch(
+        self, segments: Sequence[Segment]
+    ) -> list[list[Segment]]:
+        """Consume a round's port-0 inputs in order; one output list each.
+
+        The plan hands a single-port operator all its inputs of a round
+        (:meth:`~repro.core.plan.ContinuousPlan.push_round`) in one
+        call.  Results must equal ``[process(s) for s in segments]``,
+        which is this default; a stateless operator may override it to
+        share work across the inputs (the filter solves them in one
+        kernel sweep).
+        """
+        return [self.process(segment) for segment in segments]
+
     def flush(self) -> list[Segment]:
         """Emit any outputs still buffered at end of stream."""
         return []

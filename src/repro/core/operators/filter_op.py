@@ -9,9 +9,15 @@ equality comparisons).
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
 from ..batch_solver import incremental_enabled
 from ..delta import LruMemo, SolutionStore
-from ..equation_system import EquationSystem
+from ..equation_system import EquationSystem, solve_systems_batch
+from ..errors import SolverError, SolverFailure
+from ..intervals import TimeSet
 from ..predicate import BoolExpr, Literal
 from ..segment import Segment
 from .base import (
@@ -124,12 +130,108 @@ class ContinuousFilter(ContinuousOperator):
                 self._solution_store.store(
                     sig, segment.t_start, segment.t_end, solution
                 )
-        outputs: list[Segment] = []
-        for iv in solution.intervals:
-            outputs.append(segment.restrict(iv.lo, iv.hi))
-        for p in solution.points:
-            outputs.append(segment.at_instant(p))
+        return _restrict(segment, solution)
+
+    def process_batch(
+        self, segments: Sequence[Segment]
+    ) -> list[list[Segment]]:
+        """A round's inputs: every system compiled through the memos,
+        then all of them solved in one :func:`solve_systems_batch` sweep.
+
+        Equals ``[process(s) for s in segments]`` in outputs, solution
+        store traffic and the error raised: the earliest input whose
+        compile or solve fails raises, as the loop would.
+        """
+        outputs: list[list[Segment]] = [[] for _ in segments]
+        pending: list[tuple[int, EquationSystem]] = []
+        try:
+            for i, segment in enumerate(segments):
+                residual, system = self._segment_system(segment)
+                if system is not None:
+                    pending.append((i, system))
+                elif residual.value:
+                    outputs[i] = [segment]
+        except Exception:
+            # The loop would solve the inputs before this one first and
+            # raise their failure instead.
+            failure = self._solve_round(segments, pending)[1]
+            if failure is not None:
+                raise failure
+            raise
+        solutions, failure = self._solve_round(segments, pending)
+        if failure is not None:
+            raise failure
+        for i, solution in solutions.items():
+            outputs[i] = _restrict(segments[i], solution)
         return outputs
+
+    def _solve_round(
+        self,
+        segments: Sequence[Segment],
+        pending: list[tuple[int, EquationSystem]],
+    ) -> tuple[dict[int, TimeSet], SolverError | None]:
+        """Solve ``pending`` ``(input index, system)`` pairs in index
+        order; returns the solutions and the failure of the earliest
+        failing input, if any (later inputs are then left unsolved).
+
+        Under the ``incremental`` knob each input is looked up in the
+        solution store first and only the misses are solved.  An input
+        whose signature an earlier miss of the same sweep carries waits
+        for the next sweep, after that miss is stored: the loop would
+        have found it there.
+        """
+        store = self._solution_store if incremental_enabled() else None
+        solutions: dict[int, TimeSet] = {}
+        failure: SolverError | None = None
+        limit = len(segments)
+        while pending:
+            jobs: list[tuple[int, EquationSystem, object]] = []
+            deferred: list[tuple[int, EquationSystem]] = []
+            in_flight: set = set()
+            for i, system in pending:
+                if i >= limit:
+                    break
+                segment = segments[i]
+                sig = None
+                if store is not None:
+                    sig = SystemMemo.signature(segment)
+                    if sig is not None and sig in in_flight:
+                        deferred.append((i, system))
+                        continue
+                    hit = store.lookup(sig, segment.t_start, segment.t_end)
+                    if hit is not None:
+                        solutions[i] = hit
+                        continue
+                    if sig is not None:
+                        in_flight.add(sig)
+                jobs.append((i, system, sig))
+            pending = deferred
+            if not jobs:
+                continue
+            failures: dict[int, SolverError] = {}
+            try:
+                solved = solve_systems_batch(
+                    [
+                        (system, segments[i].t_start, segments[i].t_end)
+                        for i, system, _ in jobs
+                    ],
+                    failures,
+                )
+            except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
+                # EquationSystem.solve wraps these the same way.
+                raise SolverFailure(
+                    "internal", f"{type(exc).__name__}: {exc}"
+                ) from exc
+            for k, (i, _, sig) in enumerate(jobs):
+                self.systems_solved += 1
+                if k in failures:
+                    limit, failure = i, failures[k]
+                    break
+                solutions[i] = solved[k]
+                if sig is not None:
+                    segment = segments[i]
+                    store.store(sig, segment.t_start, segment.t_end, solved[k])
+        return solutions, failure
 
     def prime_tasks(self, segment: Segment, port: int = 0):
         """Exact prediction: the filter is stateless, so the system built
@@ -148,3 +250,10 @@ class ContinuousFilter(ContinuousOperator):
     def slack_system(self, segment: Segment) -> EquationSystem | None:
         """The equation system for slack computation on a null result."""
         return self._segment_system(segment)[1]
+
+
+def _restrict(segment: Segment, solution: TimeSet) -> list[Segment]:
+    """``segment`` restricted to each interval and point of ``solution``."""
+    outputs = [segment.restrict(iv.lo, iv.hi) for iv in solution.intervals]
+    outputs.extend(segment.at_instant(p) for p in solution.points)
+    return outputs

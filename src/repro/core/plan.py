@@ -6,15 +6,16 @@ equation systems" (Section III-C).  :class:`ContinuousPlan` is that plan:
 a DAG whose nodes wrap :class:`ContinuousOperator` instances and whose
 edges route segments — segments are the plan's first-class datatype.
 
-The executor is push-based: :meth:`push` delivers one input segment to a
-source and drains the resulting cascade, returning the segments that
-reached the plan's output.  Per-node counters feed the benchmarks.
+The executor is push-based: :meth:`push_round` delivers a list of input
+segments and drains the resulting cascade, returning the segments that
+reached the plan's output; :meth:`push` is a round of one.  Per-node
+counters feed the benchmarks.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 from .errors import PlanError
@@ -51,6 +52,11 @@ class NodeRef:
 
     def __repr__(self) -> str:
         return f"NodeRef({self.node_id})"
+
+
+#: A pending node input: ``(order key, port, segment)``; see
+#: :meth:`ContinuousPlan._fan_out` for the key.
+_Item = tuple[tuple, int, Segment]
 
 
 #: Observer invoked for every (operator, input segment, outputs) step, used
@@ -204,71 +210,148 @@ class ContinuousPlan:
     def push(self, source: str, segment: Segment) -> list[Segment]:
         """Deliver one segment to ``source`` and drain the cascade.
 
-        Returns the segments that reached the output node (which are also
-        produced if the output node has no successors and emits them).
+        A round of one arrival (see :meth:`push_round`).  Returns the
+        segments that reached the output node.
         """
-        if source not in self._sources:
-            raise PlanError(
-                f"unknown source {source!r}; declared: {list(self._sources)}"
-            )
+        return self.push_round([(source, segment)])
+
+    def push_round(self, arrivals: list[tuple[str, Segment]]) -> list[Segment]:
+        """Deliver ``(source, segment)`` arrivals as one round.
+
+        Nodes run once each, in construction order (topological, since
+        inputs are built before their consumers).  A node runs its
+        inputs ordered by ``(arrival index, BFS position)``, the
+        position an item would have in the FIFO cascade of its own
+        arrival.  So every operator sees exactly the ``process`` calls,
+        in the same order, that pushing the arrivals one at a time
+        would make, and the result is the concatenation of those
+        pushes' results.  In a round of several arrivals, a single-port
+        operator with several inputs takes them in one
+        :meth:`~ContinuousOperator.process_batch` call, which lets the
+        filter solve them in one kernel sweep.  A round of one calls
+        ``process`` per input, exactly the per-arrival cascade, so its
+        operator spans are unchanged.
+
+        If an operator raises, the error propagates with the round half
+        done; later arrivals' effects on earlier nodes may have landed.
+        """
+        for source, _ in arrivals:
+            if source not in self._sources:
+                raise PlanError(
+                    f"unknown source {source!r}; "
+                    f"declared: {list(self._sources)}"
+                )
         if self._output_id is None:
             raise PlanError("plan has no output node; call set_output()")
         results: list[Segment] = []
-        src = self._nodes[self._sources[source]]
-        src.segments_in += 1
-        src.segments_out += 1
-        if self._sources[source] == self._output_id:
-            results.append(segment)
-        initial = [(succ_id, port, segment) for succ_id, port in src.successors]
-        self._cascade(initial, results)
+        inbox: dict[int, list[_Item]] = {}
+        for index, (source, segment) in enumerate(arrivals):
+            src = self._nodes[self._sources[source]]
+            src.segments_in += 1
+            src.segments_out += 1
+            self._fan_out(src, [segment], (index, -1, ()), inbox, results)
+        self._drain(inbox, results, batched=len(arrivals) > 1)
         return results
 
-    def _cascade(
+    def _fan_out(
         self,
-        initial: list[tuple[int, int, Segment]],
+        node: PlanNode,
+        outputs: list[Segment],
+        key: tuple,
+        inbox: dict[int, list[_Item]],
         results: list[Segment],
     ) -> None:
-        queue: deque[tuple[int, int, Segment]] = deque(initial)
-        while queue:
-            node_id, port, seg = queue.popleft()
-            node = self._nodes[node_id]
-            node.segments_in += 1
+        """Route ``node``'s outputs for the input ordered at ``key``.
+
+        ``key`` is ``(arrival, depth, path)``.  Output ``j`` reaches
+        successor ``s`` at ``(arrival, depth + 1, path + (j, s))``;
+        within one arrival, ordering by depth and then path is the
+        dequeue order of a FIFO cascade.
+        """
+        arrival, depth, path = key
+        depth += 1
+        is_output = node.node_id == self._output_id
+        successors = node.successors
+        for j, out in enumerate(outputs):
+            if is_output:
+                results.append(out)
+            for s, (succ_id, port) in enumerate(successors):
+                inbox.setdefault(succ_id, []).append(
+                    ((arrival, depth, path + (j, s)), port, out)
+                )
+
+    def _drain(
+        self,
+        inbox: dict[int, list[_Item]],
+        results: list[Segment],
+        batched: bool,
+    ) -> None:
+        """Run every node with pending inputs once, in construction order."""
+        for node_id, node in self._nodes.items():
+            if not inbox:
+                return
+            items = inbox.pop(node_id, None)
+            if items is None:
+                continue
+            operator = node.operator
             hook = _OPERATOR_TRACE
-            if hook is None:
-                outputs = node.operator.process(seg, port)
-            else:
-                with hook(node.label, node_id):
-                    outputs = node.operator.process(seg, port)
-            node.segments_out += len(outputs)
-            for observer in self._observers:
-                observer(node, seg, outputs)
-            for out in outputs:
-                if node_id == self._output_id:
-                    results.append(out)
-                for succ_id, succ_port in node.successors:
-                    queue.append((succ_id, succ_port, out))
+            if operator.arity > 1:
+                # Several input edges: merge them into key order.  A
+                # single-port node has one edge, whose items arrive in
+                # key order already.
+                items.sort(key=itemgetter(0))
+            elif batched and len(items) > 1:
+                node.segments_in += len(items)
+                segments = [seg for _, _, seg in items]
+                if hook is None:
+                    batch = operator.process_batch(segments)
+                else:
+                    with hook(node.label, node_id):
+                        batch = operator.process_batch(segments)
+                for (key, _, seg), outputs in zip(items, batch):
+                    self._emit(node, key, seg, outputs, inbox, results)
+                continue
+            for key, port, seg in items:
+                node.segments_in += 1
+                if hook is None:
+                    outputs = operator.process(seg, port)
+                else:
+                    with hook(node.label, node_id):
+                        outputs = operator.process(seg, port)
+                self._emit(node, key, seg, outputs, inbox, results)
+
+    def _emit(
+        self,
+        node: PlanNode,
+        key: tuple,
+        segment: Segment,
+        outputs: list[Segment],
+        inbox: dict[int, list[_Item]],
+        results: list[Segment],
+    ) -> None:
+        node.segments_out += len(outputs)
+        for observer in self._observers:
+            observer(node, segment, outputs)
+        if outputs:
+            self._fan_out(node, outputs, key, inbox, results)
 
     def flush(self) -> list[Segment]:
         """Flush buffered operator state at end of stream.
 
-        Nodes flush in construction order (topological, since inputs are
-        built before their consumers); flushed segments cascade through
-        downstream operators like regular arrivals.
+        Nodes flush in construction order; each node's flushed segments
+        then run downstream as one round, the ``i``-th flushed segment
+        ordered as arrival ``i``.
         """
         results: list[Segment] = []
-        for node_id in sorted(self._nodes):
-            node = self._nodes[node_id]
+        for node in self._nodes.values():
             if node.operator is None:
                 continue
             flushed = node.operator.flush()
             node.segments_out += len(flushed)
-            for out in flushed:
-                if node_id == self._output_id:
-                    results.append(out)
-                self._cascade(
-                    [(succ_id, port, out) for succ_id, port in node.successors],
-                    results,
-                )
+            inbox: dict[int, list[_Item]] = {}
+            for index, out in enumerate(flushed):
+                self._fan_out(node, [out], (index, -1, ()), inbox, results)
+            self._drain(inbox, results, batched=len(flushed) > 1)
         return results
 
     def reset(self) -> None:

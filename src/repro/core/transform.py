@@ -35,7 +35,8 @@ class TransformedQuery:
 
     ``push(stream, segment)`` fans the segment out to every scan of the
     stream (self-joins scan the same stream twice) and returns the output
-    segments of the whole query.
+    segments of the whole query; ``push_round`` does the same for a list
+    of items in one pass over the plan.
     """
 
     def __init__(
@@ -61,17 +62,36 @@ class TransformedQuery:
             return self.sample_period
         return self.inferred_period
 
-    def push(self, stream: str, segment: Segment) -> list[Segment]:
+    def _scans(self, stream: str) -> list[str]:
         sources = self.stream_sources.get(stream)
         if not sources:
             raise PlanError(
                 f"query has no scan of stream {stream!r}; "
                 f"streams: {list(self.stream_sources)}"
             )
+        return sources
+
+    def push(self, stream: str, segment: Segment) -> list[Segment]:
         outputs: list[Segment] = []
-        for source in sources:
+        for source in self._scans(stream):
             outputs.extend(self.plan.push(source, segment))
         return outputs
+
+    def push_round(self, items: list[tuple[str, Segment]]) -> list[Segment]:
+        """Push ``(stream, segment)`` items as one plan round.
+
+        Expands each item to every scan of its stream, in the order
+        :meth:`prime_round` uses, and hands the arrivals to
+        :meth:`~repro.core.plan.ContinuousPlan.push_round`: the outputs
+        equal those of pushing the items one at a time.
+        """
+        return self.plan.push_round(
+            [
+                (source, segment)
+                for stream, segment in items
+                for source in self._scans(stream)
+            ]
+        )
 
     def prime_tasks(
         self, stream: str, segment: Segment

@@ -701,7 +701,7 @@ def _degree_observer() -> Callable[[int, int, float], None]:
 class _OperatorSite:
     """Reusable operator-span hook; same shape as :class:`_TimedSpanSite`.
 
-    ``_cascade`` runs plan nodes in a loop (never one inside another),
+    A plan round runs its nodes in a loop (never one inside another),
     so a single slot of per-call state suffices; the busy flag guards
     the theoretical nested case.  Like the timed sites, finished spans
     land in the pending buffer as flat tuples.

@@ -81,16 +81,21 @@ class TestLruMemo:
         assert len(memo) == 0
         assert get_counter("memo.test.evictions").value == 0
 
-    def test_pickle_round_trip_keeps_entries(self):
+    def test_pickle_round_trip_drops_entries(self):
+        # A derived cache: the snapshot carries its shape, not its
+        # entries, which a restored process recomputes on demand.
         memo = LruMemo(3, "memo.test")
         memo.put("a", 1)
         memo.put("b", 2)
         clone = pickle.loads(pickle.dumps(memo))
-        assert clone.get("a") == 1 and clone.get("b") == 2
+        assert len(clone) == 0
         assert clone.maxsize == 3
         # The rebound clone still meters into the same counter names.
-        clone.get("missing")
+        assert clone.get("a") is None
         assert get_counter("memo.test.misses").value == 1
+        clone.put("c", 3)
+        assert clone.get("c") == 3
+        assert get_counter("memo.test.hits").value == 1
 
 
 # ----------------------------------------------------------------------

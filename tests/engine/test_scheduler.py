@@ -208,3 +208,31 @@ class TestPendingCounter:
         assert rt.total_pending == 3 == self._depth_sum(rt)
         rt.run_until_idle()
         assert rt.total_pending == 0 == self._depth_sum(rt)
+
+
+class TestCheckpointSize:
+    """Compile memos and solution stores are derived caches, so a
+    snapshot does not carry them and does not grow with the number of
+    distinct segments a query has processed."""
+
+    @staticmethod
+    def _snapshot_bytes(segments: int) -> int:
+        import pickle
+
+        rt = QueryRuntime(batch_size=16)
+        rt.register("f", to_continuous_plan(planned(0)))
+        for i in range(segments):
+            # Distinct content per segment: every one compiles anew.
+            rt.enqueue("s", Segment(
+                ("k",), float(i), float(i + 1),
+                {"x": Polynomial([0.5 - 0.01 * i, 0.1 + 0.001 * i])},
+            ))
+            rt.run_until_idle()
+            rt.outputs("f")
+        return len(pickle.dumps(rt.checkpoint_state()))
+
+    def test_snapshot_does_not_grow_with_segments_processed(self):
+        few = self._snapshot_bytes(20)
+        many = self._snapshot_bytes(400)
+        # Counters and the segment-id watermark may widen by a few bytes.
+        assert many <= few + 64, (few, many)
